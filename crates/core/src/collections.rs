@@ -27,8 +27,9 @@ use std::fmt;
 /// iteration. See the [module docs](self) for why this exists.
 ///
 /// Keys must be `Ord + Clone` (the index stores a second copy of each key).
-/// Removal is `O(n)` (entries shift to preserve insertion order), which is
-/// the right trade-off for the simulator's small, short-lived maps.
+/// Removal is amortized `O(log n)`: it leaves a tombstone in the entry
+/// vector, and the vector is compacted (survivors keep their relative
+/// order) once tombstones make up half of it.
 ///
 /// # Examples
 ///
@@ -49,7 +50,9 @@ use std::fmt;
 /// ```
 #[derive(Clone)]
 pub struct DetMap<K, V> {
-    entries: Vec<(K, V)>,
+    /// Entries in insertion order; `None` marks a removed entry.
+    entries: Vec<Option<(K, V)>>,
+    /// Live key → its slot in `entries`.
     index: BTreeMap<K, usize>,
 }
 
@@ -70,12 +73,12 @@ impl<K, V> DetMap<K, V> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Returns `true` if the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Removes every entry.
@@ -86,22 +89,53 @@ impl<K, V> DetMap<K, V> {
 
     /// Iterates over `(key, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
+        self.into_iter()
     }
 
     /// Iterates over keys in insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.iter().map(|(k, _)| k)
+        self.iter().map(|(k, _)| k)
     }
 
     /// Iterates over values in insertion order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.iter().map(|(_, v)| v)
+        self.iter().map(|(_, v)| v)
     }
 
     /// Iterates over values mutably, in insertion order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
+        self.entries.iter_mut().flatten().map(|(_, v)| v)
+    }
+
+    /// The live value in slot `i` (every index slot points at one).
+    fn slot(&self, i: usize) -> &V {
+        match &self.entries[i] {
+            Some((_, v)) => v,
+            None => unreachable!("index points at a removed entry"),
+        }
+    }
+
+    /// Mutable form of [`DetMap::slot`].
+    fn slot_mut(&mut self, i: usize) -> &mut V {
+        match &mut self.entries[i] {
+            Some((_, v)) => v,
+            None => unreachable!("index points at a removed entry"),
+        }
+    }
+
+    /// Drops the tombstones, shifting survivors down in order and
+    /// repointing the index at their new slots. `O(n)`.
+    fn compact(&mut self) {
+        let mut moved_to = Vec::with_capacity(self.entries.len());
+        let mut live = 0;
+        for entry in &self.entries {
+            moved_to.push(live);
+            live += usize::from(entry.is_some());
+        }
+        self.entries.retain(Option::is_some);
+        for slot in self.index.values_mut() {
+            *slot = moved_to[*slot];
+        }
     }
 }
 
@@ -111,10 +145,10 @@ impl<K: Ord + Clone, V> DetMap<K, V> {
     /// `HashMap::insert`).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         match self.index.get(&key) {
-            Some(&i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Some(&i) => Some(std::mem::replace(self.slot_mut(i), value)),
             None => {
                 self.index.insert(key.clone(), self.entries.len());
-                self.entries.push((key, value));
+                self.entries.push(Some((key, value)));
                 None
             }
         }
@@ -122,13 +156,13 @@ impl<K: Ord + Clone, V> DetMap<K, V> {
 
     /// The value stored under `key`, if any.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.index.get(key).map(|&i| &self.entries[i].1)
+        self.index.get(key).map(|&i| self.slot(i))
     }
 
     /// Mutable access to the value stored under `key`.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         match self.index.get(key) {
-            Some(&i) => Some(&mut self.entries[i].1),
+            Some(&i) => Some(self.slot_mut(i)),
             None => None,
         }
     }
@@ -138,15 +172,13 @@ impl<K: Ord + Clone, V> DetMap<K, V> {
         self.index.contains_key(key)
     }
 
-    /// Removes `key`, returning its value. Later entries shift down one
-    /// slot so iteration order stays the insertion order of the survivors.
+    /// Removes `key`, returning its value. Iteration order stays the
+    /// insertion order of the survivors.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let pos = self.index.remove(key)?;
-        let (_, value) = self.entries.remove(pos);
-        for slot in self.index.values_mut() {
-            if *slot > pos {
-                *slot -= 1;
-            }
+        let (_, value) = self.entries[pos].take()?;
+        if 2 * self.index.len() <= self.entries.len() {
+            self.compact();
         }
         Some(value)
     }
@@ -177,11 +209,11 @@ impl<'a, K: Ord + Clone, V> Entry<'a, K, V> {
             None => {
                 let i = self.map.entries.len();
                 self.map.index.insert(self.key.clone(), i);
-                self.map.entries.push((self.key, default()));
+                self.map.entries.push(Some((self.key, default())));
                 i
             }
         };
-        &mut self.map.entries[pos].1
+        self.map.slot_mut(pos)
     }
 
     /// Inserts `V::default()` if the entry is vacant; returns the value.
@@ -214,7 +246,7 @@ impl<K: Ord, V: PartialEq> PartialEq for DetMap<K, V> {
                 .index
                 .iter()
                 .zip(other.index.iter())
-                .all(|((ka, &ia), (kb, &ib))| ka == kb && self.entries[ia].1 == other.entries[ib].1)
+                .all(|((ka, &ia), (kb, &ib))| ka == kb && self.slot(ia) == other.slot(ib))
     }
 }
 
@@ -240,19 +272,22 @@ impl<K: Ord + Clone, V> Extend<(K, V)> for DetMap<K, V> {
 
 impl<K, V> IntoIterator for DetMap<K, V> {
     type Item = (K, V);
-    type IntoIter = std::vec::IntoIter<(K, V)>;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Option<(K, V)>>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
+        self.entries.into_iter().flatten()
     }
 }
 
 impl<'a, K, V> IntoIterator for &'a DetMap<K, V> {
     type Item = (&'a K, &'a V);
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> (&'a K, &'a V)>;
+    type IntoIter = std::iter::Map<
+        std::iter::Flatten<std::slice::Iter<'a, Option<(K, V)>>>,
+        fn(&'a (K, V)) -> (&'a K, &'a V),
+    >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter().map(|(k, v)| (k, v))
+        self.entries.iter().flatten().map(|(k, v)| (k, v))
     }
 }
 
@@ -362,19 +397,20 @@ impl<T: Ord + Clone> Extend<T> for DetSet<T> {
 
 impl<T> IntoIterator for DetSet<T> {
     type Item = T;
-    type IntoIter = std::iter::Map<std::vec::IntoIter<(T, ())>, fn((T, ())) -> T>;
+    type IntoIter = std::iter::Map<<DetMap<T, ()> as IntoIterator>::IntoIter, fn((T, ())) -> T>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.map.entries.into_iter().map(|(t, ())| t)
+        self.map.into_iter().map(|(t, ())| t)
     }
 }
 
 impl<'a, T> IntoIterator for &'a DetSet<T> {
     type Item = &'a T;
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, (T, ())>, fn(&'a (T, ())) -> &'a T>;
+    type IntoIter =
+        std::iter::Map<<&'a DetMap<T, ()> as IntoIterator>::IntoIter, fn((&'a T, &'a ())) -> &'a T>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.map.entries.iter().map(|(t, ())| t)
+        (&self.map).into_iter().map(|(t, ())| t)
     }
 }
 
@@ -547,6 +583,96 @@ mod tests {
             if i % 3 != 0 {
                 assert_eq!(m.get(&i), Some(&i));
             }
+        }
+    }
+
+    /// A `Vec<(K, V)>` reference model of `DetMap`: insertion-ordered,
+    /// in-place overwrite, order-preserving removal.
+    #[derive(Default)]
+    struct Model(Vec<(u8, u32)>);
+
+    impl Model {
+        fn pos(&self, k: u8) -> Option<usize> {
+            self.0.iter().position(|&(key, _)| key == k)
+        }
+
+        fn insert(&mut self, k: u8, v: u32) -> Option<u32> {
+            match self.pos(k) {
+                Some(i) => Some(std::mem::replace(&mut self.0[i].1, v)),
+                None => {
+                    self.0.push((k, v));
+                    None
+                }
+            }
+        }
+
+        fn remove(&mut self, k: u8) -> Option<u32> {
+            self.pos(k).map(|i| self.0.remove(i).1)
+        }
+
+        fn add(&mut self, k: u8, d: u32) -> u32 {
+            let i = self.pos(k).unwrap_or_else(|| {
+                self.0.push((k, 0));
+                self.0.len() - 1
+            });
+            self.0[i].1 += d;
+            self.0[i].1
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn detmap_matches_vec_model(
+            ops in proptest::collection::vec((0u8..8, 0u8..12, 0u32..100), 0..200),
+        ) {
+            let mut m: DetMap<u8, u32> = DetMap::new();
+            let mut model = Model::default();
+            for (kind, k, v) in ops {
+                match kind {
+                    0..=2 => proptest::prop_assert_eq!(m.insert(k, v), model.insert(k, v)),
+                    3..=5 => proptest::prop_assert_eq!(m.remove(&k), model.remove(k)),
+                    6 => {
+                        let got = *m.entry(k).or_default() + v;
+                        *m.entry(k).or_insert(0) += v;
+                        proptest::prop_assert_eq!(got, model.add(k, v));
+                    }
+                    _ => proptest::prop_assert_eq!(m.get(&k), model.pos(k).map(|i| &model.0[i].1)),
+                }
+                // Order, length, lookups and index consistency.
+                let order: Vec<(u8, u32)> = m.iter().map(|(&k, &v)| (k, v)).collect();
+                proptest::prop_assert_eq!(&order, &model.0);
+                proptest::prop_assert_eq!(m.len(), model.0.len());
+                proptest::prop_assert_eq!(m.is_empty(), model.0.is_empty());
+                // Compaction keeps tombstones from outnumbering live entries.
+                proptest::prop_assert!(m.entries.len() <= 2 * m.len());
+                for &(k, v) in &model.0 {
+                    proptest::prop_assert_eq!(m.get(&k), Some(&v));
+                }
+                // Debug text is the model's, as a map literal.
+                let mut text = String::from("{");
+                for (i, (k, v)) in model.0.iter().enumerate() {
+                    if i > 0 {
+                        text.push_str(", ");
+                    }
+                    text.push_str(&format!("{k}: {v}"));
+                }
+                text.push('}');
+                proptest::prop_assert_eq!(format!("{m:?}"), text);
+                // Content equality against fresh maps in either order, and
+                // inequality once one value differs.
+                let fresh: DetMap<u8, u32> = model.0.iter().copied().collect();
+                let reversed: DetMap<u8, u32> = model.0.iter().rev().copied().collect();
+                proptest::prop_assert!(m == fresh && m == reversed);
+                if let Some(&(k, v)) = model.0.first() {
+                    let mut other = fresh.clone();
+                    other.insert(k, v + 1);
+                    proptest::prop_assert!(m != other);
+                }
+            }
+            let owned: Vec<(u8, u32)> = m.into_iter().collect();
+            proptest::prop_assert_eq!(owned, model.0);
         }
     }
 }

@@ -5,15 +5,22 @@
 //! 2PC to complete after recovery). An amnesia crash calls
 //! [`Storage::wipe`] — everything is lost and the site must resync.
 //!
-//! Alongside the committed map, storage maintains an incremental
-//! [`HTree`] — a cumulated-hash range tree over the committed keyspace —
-//! so anti-entropy can locate a diff in O(diff · log n) range-hash
-//! comparisons instead of scanning (or shipping) the full store.
+//! Anti-entropy compares sites through an [`HTree`] — a cumulated-hash
+//! range tree over the committed keyspace — so it can locate a diff in
+//! O(diff · log n) range-hash comparisons instead of scanning (or
+//! shipping) the full store. Most sites never take part in a sync, so the
+//! tree is lazy: every committed write keeps only the root aggregate
+//! current, in O(1). The full tree is built from the committed map the
+//! first time [`Storage::htree`] is called — when the site first serves
+//! or runs a sync — and from then on every committed write maintains it
+//! in O(log n). A wipe returns the storage to the lazy state.
 
 use crate::message::{ObjectId, OpId};
 use arbitree_core::{DetMap, Timestamp};
-use arbitree_sync::{item_hash, HTree};
+use arbitree_sync::{item_hash, HTree, NodeAgg};
 use bytes::Bytes;
+use std::cell::OnceCell;
+use std::fmt;
 
 /// A committed object version.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +40,18 @@ impl Default for Version {
     }
 }
 
+impl Version {
+    /// The range-tree item hash of this version stored under `obj`.
+    fn item_hash(&self, obj: ObjectId) -> u64 {
+        item_hash(
+            obj.0,
+            self.ts.version(),
+            self.ts.sid().as_u32(),
+            &self.value,
+        )
+    }
+}
+
 /// A staged (prepared, not yet committed) write.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Staged {
@@ -45,14 +64,38 @@ pub struct Staged {
 }
 
 /// Durable replica storage.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Storage {
     committed: DetMap<ObjectId, Version>,
     staged: DetMap<ObjectId, Staged>,
-    /// Range-hash tree over `committed`, maintained incrementally by every
-    /// committed-map mutation (staged writes are invisible to it: only
-    /// durable, committed state takes part in anti-entropy).
-    htree: HTree,
+    /// Root aggregate of the range tree over `committed`, maintained by
+    /// every committed-map mutation (staged writes are invisible to it:
+    /// only durable, committed state takes part in anti-entropy).
+    root: NodeAgg,
+    /// The full range tree, built from `committed` by the first
+    /// [`Storage::htree`] call and maintained incrementally after that.
+    htree: OnceCell<HTree>,
+}
+
+// Hand-written: the text is a model-checker fingerprint input, so it must
+// not depend on whether the tree is built. It shows the root aggregate in
+// `HTree`'s own `Debug` form, which prints the root only.
+impl fmt::Debug for Storage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Root<'a>(&'a NodeAgg);
+        impl fmt::Debug for Root<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_struct("HTree")
+                    .field("root", self.0)
+                    .finish_non_exhaustive()
+            }
+        }
+        f.debug_struct("Storage")
+            .field("committed", &self.committed)
+            .field("staged", &self.staged)
+            .field("htree", &Root(&self.root))
+            .finish()
+    }
 }
 
 impl Storage {
@@ -66,20 +109,33 @@ impl Storage {
         self.committed.get(&obj).cloned().unwrap_or_default()
     }
 
-    /// The cumulated-hash range tree over the committed keyspace.
+    /// The cumulated-hash range tree over the committed keyspace, built
+    /// from the committed map on the first call.
     pub fn htree(&self) -> &HTree {
-        &self.htree
+        self.htree.get_or_init(|| {
+            let mut tree = HTree::new();
+            for (obj, version) in self.committed.iter() {
+                tree.insert(obj.0, version.item_hash(*obj));
+            }
+            tree
+        })
     }
 
     /// Installs `value` at `ts` into the committed map and mirrors the
-    /// mutation into the range tree. Every committed-map write funnels
-    /// through here so the tree can never drift from the store.
+    /// mutation into the root aggregate and, once built, the range tree.
+    /// Every committed-map write funnels through here so neither can
+    /// drift from the store.
     fn install(&mut self, obj: ObjectId, value: Bytes, ts: Timestamp) {
-        self.htree.insert(
-            obj.0,
-            item_hash(obj.0, ts.version(), ts.sid().as_u32(), &value),
-        );
-        self.committed.insert(obj, Version { value, ts });
+        let version = Version { value, ts };
+        let hash = version.item_hash(obj);
+        match self.committed.insert(obj, version) {
+            Some(old) => self.root.hash ^= old.item_hash(obj),
+            None => self.root.count += 1,
+        }
+        self.root.hash ^= hash;
+        if let Some(tree) = self.htree.get_mut() {
+            tree.insert(obj.0, hash);
+        }
     }
 
     /// Stages a write (2PC phase 1). Re-staging by the same operation is
@@ -147,9 +203,7 @@ impl Storage {
     /// An amnesia crash: all durable state — committed versions, staged
     /// writes, and the range tree over them — is lost.
     pub fn wipe(&mut self) {
-        self.committed = DetMap::default();
-        self.staged = DetMap::default();
-        self.htree.clear();
+        *self = Storage::default();
     }
 
     /// The staged write for `obj`, if any (used by tests and invariants).
@@ -312,5 +366,125 @@ mod tests {
         assert_eq!(s.read(ObjectId(0)).ts, Timestamp::ZERO);
         assert!(s.staged(ObjectId(1)).is_none());
         assert!(s.htree().is_empty());
+    }
+
+    #[test]
+    fn debug_text_is_pinned() {
+        // The text feeds the model checker's state fingerprint: it must not
+        // change with the tree's build state, nor from what the always-built
+        // tree printed.
+        let mut s = Storage::new();
+        s.prepare(ObjectId(7), OpId(1), Bytes::from_static(b"a"), ts(1));
+        s.commit(ObjectId(7), OpId(1), Bytes::from_static(b"a"), ts(1));
+        s.commit(ObjectId(7), OpId(2), Bytes::from_static(b"bb"), ts(4));
+        s.repair(ObjectId(2), Bytes::from_static(b"r"), ts(3));
+        s.prepare(ObjectId(9), OpId(3), Bytes::from_static(b"s"), ts(5));
+        let pinned = concat!(
+            "Storage { committed: {",
+            "ObjectId(7): Version { value: b\"bb\", ts: Timestamp { version: 4, sid: SiteId(0) } }, ",
+            "ObjectId(2): Version { value: b\"r\", ts: Timestamp { version: 3, sid: SiteId(0) } }",
+            "}, staged: {",
+            "ObjectId(9): Staged { op: OpId(3), value: b\"s\", ts: Timestamp { version: 5, sid: SiteId(0) } }",
+            "}, htree: HTree { root: NodeAgg { hash: 4012970117994299320, count: 2 }, .. } }",
+        );
+        assert_eq!(format!("{s:?}"), pinned);
+        s.htree();
+        assert_eq!(format!("{s:?}"), pinned);
+    }
+
+    #[test]
+    fn tree_is_built_on_first_query_only() {
+        let mut s = Storage::new();
+        s.commit(ObjectId(1), OpId(1), Bytes::from_static(b"a"), ts(1));
+        assert!(
+            s.htree.get().is_none(),
+            "commits alone must not build the tree"
+        );
+        assert_eq!(s.htree().len(), 1);
+        s.commit(ObjectId(2), OpId(2), Bytes::from_static(b"b"), ts(1));
+        assert_eq!(
+            s.htree.get().map(HTree::len),
+            Some(2),
+            "built tree tracks commits"
+        );
+        s.wipe();
+        assert!(s.htree.get().is_none(), "a wipe returns to the lazy state");
+        assert_eq!(s.root, NodeAgg::EMPTY);
+    }
+
+    /// One random storage step for the lazy-vs-eager proptest.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Prepare(u32, u64, u64, u8),
+        Commit(u32, u64, u64, u8),
+        Abort(u32, u64),
+        Repair(u32, u64, u8),
+        Wipe,
+        Query,
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::strategy::Strategy;
+        (0u8..20, 0u32..8, 0u64..4, 1u64..8, 0u8..3).prop_map(|(kind, obj, op, v, byte)| match kind
+        {
+            0..=4 => Step::Prepare(obj, op, v, byte),
+            5..=10 => Step::Commit(obj, op, v, byte),
+            11..=12 => Step::Abort(obj, op),
+            13..=15 => Step::Repair(obj, v, byte),
+            16 => Step::Wipe,
+            _ => Step::Query,
+        })
+    }
+
+    /// The version timestamp `v`, from one of three writers.
+    fn tsv(v: u64, byte: u8) -> Timestamp {
+        Timestamp::new(v, SiteId::new(u32::from(byte)))
+    }
+
+    /// The tree an always-built store would hold: rebuilt from scratch.
+    fn rebuilt(s: &Storage) -> HTree {
+        let mut tree = HTree::new();
+        for (obj, v) in s.committed_sorted() {
+            tree.insert(
+                obj.0,
+                item_hash(obj.0, v.ts.version(), v.ts.sid().as_u32(), &v.value),
+            );
+        }
+        tree
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lazy_tree_matches_eager_rebuild(
+            steps in proptest::collection::vec(step(), 0..60),
+        ) {
+            let mut s = Storage::new();
+            for st in steps {
+                let value = |byte: u8| Bytes::from(vec![byte; usize::from(byte) + 1]);
+                match st {
+                    Step::Prepare(obj, op, v, byte) => {
+                        s.prepare(ObjectId(obj), OpId(op), value(byte), tsv(v, byte));
+                    }
+                    Step::Commit(obj, op, v, byte) => {
+                        s.commit(ObjectId(obj), OpId(op), value(byte), tsv(v, byte));
+                    }
+                    Step::Abort(obj, op) => s.abort(ObjectId(obj), OpId(op)),
+                    Step::Repair(obj, v, byte) => {
+                        s.repair(ObjectId(obj), value(byte), tsv(v, byte));
+                    }
+                    Step::Wipe => s.wipe(),
+                    Step::Query => {
+                        s.htree();
+                    }
+                }
+                let eager = rebuilt(&s);
+                proptest::prop_assert_eq!(s.root, eager.digest(Range::ROOT), "after {:?}", st);
+                if let Some(tree) = s.htree.get() {
+                    proptest::prop_assert!(*tree == eager, "built tree drifted after {:?}", st);
+                }
+            }
+        }
     }
 }
