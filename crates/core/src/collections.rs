@@ -12,24 +12,76 @@
 //! * iteration yields entries in **insertion order** — the order the
 //!   deterministic simulation produced them, stable across processes,
 //!   platforms and `RUSTFLAGS`;
-//! * lookup goes through a `BTreeMap` index (`O(log n)`, no hashing, no
-//!   per-process seed);
-//! * equality is **content-based** (key-sorted), so two runs that assembled
-//!   the same state in different orders still compare equal.
+//! * lookup goes through a linear-probing slot table of positions into the
+//!   entry vector (`O(1)` expected), hashed with a fixed, seedless
+//!   FxHash-style hasher (the keys are ids the program itself generates,
+//!   so a seedless hash opens no collision attack); each key is stored
+//!   once, in the entry vector, and maps of at most 8 entry slots skip the
+//!   table and scan. The table only answers lookups — it never decides an
+//!   order — and is rebuilt from the entries whenever it grows or
+//!   tombstones are compacted;
+//! * equality is **content-based**, so two runs that assembled the same
+//!   state in different orders still compare equal.
 //!
 //! The `arbitree-lint` rule **D001** flags raw `HashMap`/`HashSet` in
 //! replay-critical crates and points here.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// An insertion-ordered map with `BTreeMap`-backed lookup and deterministic
+/// Maps with at most this many entry slots (live or tombstoned) keep no
+/// slot table: a scan of a few entries beats hashing.
+const SCAN_MAX: usize = 8;
+
+/// An unused slot-table cell.
+const EMPTY: u32 = u32::MAX;
+
+/// The FxHash word mix (rustc's hasher): fixed, seedless, a rotate, xor
+/// and multiply per word.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An insertion-ordered map with hashed lookup and deterministic
 /// iteration. See the [module docs](self) for why this exists.
 ///
-/// Keys must be `Ord + Clone` (the index stores a second copy of each key).
-/// Removal is amortized `O(log n)`: it leaves a tombstone in the entry
-/// vector, and the vector is compacted (survivors keep their relative
-/// order) once tombstones make up half of it.
+/// Keys must be `Hash + Eq`; each is stored once. Removal is amortized
+/// `O(1)`: it leaves a tombstone in the entry vector, and the vector is
+/// compacted (survivors keep their relative order) once tombstones make up
+/// half of it.
 ///
 /// # Examples
 ///
@@ -52,15 +104,21 @@ use std::fmt;
 pub struct DetMap<K, V> {
     /// Entries in insertion order; `None` marks a removed entry.
     entries: Vec<Option<(K, V)>>,
-    /// Live key → its slot in `entries`.
-    index: BTreeMap<K, usize>,
+    /// Number of live entries.
+    len: usize,
+    /// Linear-probing table of positions in `entries` ([`EMPTY`] = unused),
+    /// a power of two at most half full; empty while `entries` has at most
+    /// [`SCAN_MAX`] slots. A cell left pointing at a tombstone stays
+    /// occupied, so probe chains run through it.
+    table: Vec<u32>,
 }
 
 impl<K, V> Default for DetMap<K, V> {
     fn default() -> Self {
         DetMap {
             entries: Vec::new(),
-            index: BTreeMap::new(),
+            len: 0,
+            table: Vec::new(),
         }
     }
 }
@@ -73,18 +131,19 @@ impl<K, V> DetMap<K, V> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// Returns `true` if the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.index.clear();
+        self.len = 0;
+        self.table = Vec::new();
     }
 
     /// Iterates over `(key, value)` pairs in insertion order.
@@ -107,11 +166,11 @@ impl<K, V> DetMap<K, V> {
         self.entries.iter_mut().flatten().map(|(_, v)| v)
     }
 
-    /// The live value in slot `i` (every index slot points at one).
+    /// The live value at position `i` (every lookup hit is one).
     fn slot(&self, i: usize) -> &V {
         match &self.entries[i] {
             Some((_, v)) => v,
-            None => unreachable!("index points at a removed entry"),
+            None => unreachable!("lookup hit a removed entry"),
         }
     }
 
@@ -119,36 +178,102 @@ impl<K, V> DetMap<K, V> {
     fn slot_mut(&mut self, i: usize) -> &mut V {
         match &mut self.entries[i] {
             Some((_, v)) => v,
-            None => unreachable!("index points at a removed entry"),
-        }
-    }
-
-    /// Drops the tombstones, shifting survivors down in order and
-    /// repointing the index at their new slots. `O(n)`.
-    fn compact(&mut self) {
-        let mut moved_to = Vec::with_capacity(self.entries.len());
-        let mut live = 0;
-        for entry in &self.entries {
-            moved_to.push(live);
-            live += usize::from(entry.is_some());
-        }
-        self.entries.retain(Option::is_some);
-        for slot in self.index.values_mut() {
-            *slot = moved_to[*slot];
+            None => unreachable!("lookup hit a removed entry"),
         }
     }
 }
 
-impl<K: Ord + Clone, V> DetMap<K, V> {
+impl<K: Hash + Eq, V> DetMap<K, V> {
+    /// The table cell where the probe for `key` starts: the top bits of
+    /// its hash (the well-mixed ones).
+    fn home(&self, key: &K) -> usize {
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        let bits = self.table.len().trailing_zeros();
+        (h.finish() >> (64 - bits)) as usize
+    }
+
+    /// The position of `key` in `entries`, if it is live.
+    fn find(&self, key: &K) -> Option<usize> {
+        if self.table.is_empty() {
+            return self
+                .entries
+                .iter()
+                .position(|e| matches!(e, Some((k, _)) if k == key));
+        }
+        let mask = self.table.len() - 1;
+        let mut cell = self.home(key);
+        loop {
+            let pos = self.table[cell];
+            if pos == EMPTY {
+                return None;
+            }
+            if let Some((k, _)) = &self.entries[pos as usize] {
+                if k == key {
+                    return Some(pos as usize);
+                }
+            }
+            cell = (cell + 1) & mask;
+        }
+    }
+
+    /// Records position `pos` of `entries` in the first free cell of its
+    /// probe chain.
+    fn place(&mut self, pos: usize) {
+        let Some((key, _)) = &self.entries[pos] else {
+            return;
+        };
+        let mask = self.table.len() - 1;
+        let mut cell = self.home(key);
+        while self.table[cell] != EMPTY {
+            cell = (cell + 1) & mask;
+        }
+        assert!(pos < EMPTY as usize, "DetMap entry slots exceed u32");
+        self.table[cell] = pos as u32;
+    }
+
+    /// Rebuilds the slot table from `entries`: none for a short vector,
+    /// otherwise a fresh table at most half full holding every live
+    /// position.
+    fn rebuild(&mut self) {
+        if self.entries.len() <= SCAN_MAX {
+            self.table = Vec::new();
+            return;
+        }
+        self.table = vec![EMPTY; (2 * self.entries.len()).next_power_of_two()];
+        for pos in 0..self.entries.len() {
+            self.place(pos);
+        }
+    }
+
+    /// Appends a new entry and indexes it, returning its position.
+    fn push(&mut self, key: K, value: V) -> usize {
+        let pos = self.entries.len();
+        self.entries.push(Some((key, value)));
+        self.len += 1;
+        if 2 * self.entries.len() > self.table.len() {
+            self.rebuild();
+        } else {
+            self.place(pos);
+        }
+        pos
+    }
+
+    /// Drops the tombstones, shifting survivors down in order, and
+    /// rebuilds the slot table over their new positions. `O(n)`.
+    fn compact(&mut self) {
+        self.entries.retain(Option::is_some);
+        self.rebuild();
+    }
+
     /// Inserts `value` under `key`, returning the previous value if the key
     /// was present (the entry keeps its original insertion position, like
     /// `HashMap::insert`).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.index.get(&key) {
-            Some(&i) => Some(std::mem::replace(self.slot_mut(i), value)),
+        match self.find(&key) {
+            Some(i) => Some(std::mem::replace(self.slot_mut(i), value)),
             None => {
-                self.index.insert(key.clone(), self.entries.len());
-                self.entries.push(Some((key, value)));
+                self.push(key, value);
                 None
             }
         }
@@ -156,28 +281,29 @@ impl<K: Ord + Clone, V> DetMap<K, V> {
 
     /// The value stored under `key`, if any.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.index.get(key).map(|&i| self.slot(i))
+        self.find(key).map(|i| self.slot(i))
     }
 
     /// Mutable access to the value stored under `key`.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self.index.get(key) {
-            Some(&i) => Some(self.slot_mut(i)),
+        match self.find(key) {
+            Some(i) => Some(self.slot_mut(i)),
             None => None,
         }
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.index.contains_key(key)
+        self.find(key).is_some()
     }
 
     /// Removes `key`, returning its value. Iteration order stays the
     /// insertion order of the survivors.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let pos = self.index.remove(key)?;
+        let pos = self.find(key)?;
         let (_, value) = self.entries[pos].take()?;
-        if 2 * self.index.len() <= self.entries.len() {
+        self.len -= 1;
+        if 2 * self.len <= self.entries.len() {
             self.compact();
         }
         Some(value)
@@ -196,7 +322,7 @@ pub struct Entry<'a, K, V> {
     key: K,
 }
 
-impl<'a, K: Ord + Clone, V> Entry<'a, K, V> {
+impl<'a, K: Hash + Eq, V> Entry<'a, K, V> {
     /// Inserts `default` if the entry is vacant; returns the value.
     pub fn or_insert(self, default: V) -> &'a mut V {
         self.or_insert_with(|| default)
@@ -204,14 +330,9 @@ impl<'a, K: Ord + Clone, V> Entry<'a, K, V> {
 
     /// Inserts `default()` if the entry is vacant; returns the value.
     pub fn or_insert_with(self, default: impl FnOnce() -> V) -> &'a mut V {
-        let pos = match self.map.index.get(&self.key) {
-            Some(&i) => i,
-            None => {
-                let i = self.map.entries.len();
-                self.map.index.insert(self.key.clone(), i);
-                self.map.entries.push(Some((self.key, default())));
-                i
-            }
+        let pos = match self.map.find(&self.key) {
+            Some(i) => i,
+            None => self.map.push(self.key, default()),
         };
         self.map.slot_mut(pos)
     }
@@ -239,20 +360,15 @@ impl<K: fmt::Debug, V> fmt::Debug for Entry<'_, K, V> {
 
 /// Content-based equality: same key set, same value per key — independent
 /// of insertion order, matching `HashMap` semantics.
-impl<K: Ord, V: PartialEq> PartialEq for DetMap<K, V> {
+impl<K: Hash + Eq, V: PartialEq> PartialEq for DetMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len()
-            && self
-                .index
-                .iter()
-                .zip(other.index.iter())
-                .all(|((ka, &ia), (kb, &ib))| ka == kb && self.slot(ia) == other.slot(ib))
+        self.len() == other.len() && self.iter().all(|(k, v)| other.get(k) == Some(v))
     }
 }
 
-impl<K: Ord, V: Eq> Eq for DetMap<K, V> {}
+impl<K: Hash + Eq, V: Eq> Eq for DetMap<K, V> {}
 
-impl<K: Ord + Clone, V> FromIterator<(K, V)> for DetMap<K, V> {
+impl<K: Hash + Eq, V> FromIterator<(K, V)> for DetMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut map = DetMap::new();
         for (k, v) in iter {
@@ -262,7 +378,7 @@ impl<K: Ord + Clone, V> FromIterator<(K, V)> for DetMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V> Extend<(K, V)> for DetMap<K, V> {
+impl<K: Hash + Eq, V> Extend<(K, V)> for DetMap<K, V> {
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {
             self.insert(k, v);
@@ -346,7 +462,7 @@ impl<T> DetSet<T> {
     }
 }
 
-impl<T: Ord + Clone> DetSet<T> {
+impl<T: Hash + Eq> DetSet<T> {
     /// Inserts `value`; returns `true` if it was not already present.
     pub fn insert(&mut self, value: T) -> bool {
         self.map.insert(value, ()).is_none()
@@ -369,15 +485,15 @@ impl<T: fmt::Debug> fmt::Debug for DetSet<T> {
     }
 }
 
-impl<T: Ord> PartialEq for DetSet<T> {
+impl<T: Hash + Eq> PartialEq for DetSet<T> {
     fn eq(&self, other: &Self) -> bool {
         self.map == other.map
     }
 }
 
-impl<T: Ord> Eq for DetSet<T> {}
+impl<T: Hash + Eq> Eq for DetSet<T> {}
 
-impl<T: Ord + Clone> FromIterator<T> for DetSet<T> {
+impl<T: Hash + Eq> FromIterator<T> for DetSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut set = DetSet::new();
         for v in iter {
@@ -387,7 +503,7 @@ impl<T: Ord + Clone> FromIterator<T> for DetSet<T> {
     }
 }
 
-impl<T: Ord + Clone> Extend<T> for DetSet<T> {
+impl<T: Hash + Eq> Extend<T> for DetSet<T> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for v in iter {
             self.insert(v);
@@ -586,17 +702,27 @@ mod tests {
         }
     }
 
+    /// A key whose hash is constant, so every key shares one probe chain
+    /// and lookups must walk past other keys and tombstoned entries.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct Collide(u8);
+
+    impl Hash for Collide {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u8(0);
+        }
+    }
+
     /// A `Vec<(K, V)>` reference model of `DetMap`: insertion-ordered,
     /// in-place overwrite, order-preserving removal.
-    #[derive(Default)]
-    struct Model(Vec<(u8, u32)>);
+    struct Model<K>(Vec<(K, u32)>);
 
-    impl Model {
-        fn pos(&self, k: u8) -> Option<usize> {
+    impl<K: Copy + PartialEq> Model<K> {
+        fn pos(&self, k: K) -> Option<usize> {
             self.0.iter().position(|&(key, _)| key == k)
         }
 
-        fn insert(&mut self, k: u8, v: u32) -> Option<u32> {
+        fn insert(&mut self, k: K, v: u32) -> Option<u32> {
             match self.pos(k) {
                 Some(i) => Some(std::mem::replace(&mut self.0[i].1, v)),
                 None => {
@@ -606,11 +732,11 @@ mod tests {
             }
         }
 
-        fn remove(&mut self, k: u8) -> Option<u32> {
+        fn remove(&mut self, k: K) -> Option<u32> {
             self.pos(k).map(|i| self.0.remove(i).1)
         }
 
-        fn add(&mut self, k: u8, d: u32) -> u32 {
+        fn add(&mut self, k: K, d: u32) -> u32 {
             let i = self.pos(k).unwrap_or_else(|| {
                 self.0.push((k, 0));
                 self.0.len() - 1
@@ -620,59 +746,130 @@ mod tests {
         }
     }
 
+    /// Slot-table invariants: no table while a scan suffices, otherwise a
+    /// power-of-two table at most half full with one cell per live entry.
+    fn check_table<K, V>(m: &DetMap<K, V>) -> proptest::TestCaseResult {
+        if m.entries.len() <= SCAN_MAX {
+            proptest::prop_assert!(m.table.is_empty());
+        } else {
+            proptest::prop_assert!(m.table.len().is_power_of_two());
+            proptest::prop_assert!(2 * m.entries.len() <= m.table.len());
+            let cells = m.table.iter().filter(|&&c| c != EMPTY).count();
+            proptest::prop_assert!(cells >= m.len() && cells <= m.entries.len());
+        }
+        Ok(())
+    }
+
+    /// Drives `DetMap` and the model through `ops` (kind, key, value) and
+    /// checks they agree after every step; `key` maps the drawn key byte.
+    fn run_against_model<K: Copy + Hash + Eq + fmt::Debug>(
+        ops: Vec<(u8, u8, u32)>,
+        key: fn(u8) -> K,
+    ) -> proptest::TestCaseResult {
+        let mut m: DetMap<K, u32> = DetMap::new();
+        let mut model = Model(Vec::new());
+        for (kind, k, v) in ops {
+            let k = key(k);
+            match kind {
+                0..=2 => proptest::prop_assert_eq!(m.insert(k, v), model.insert(k, v)),
+                3..=5 => proptest::prop_assert_eq!(m.remove(&k), model.remove(k)),
+                6 => {
+                    let got = *m.entry(k).or_default() + v;
+                    *m.entry(k).or_insert(0) += v;
+                    proptest::prop_assert_eq!(got, model.add(k, v));
+                }
+                _ => proptest::prop_assert_eq!(m.get(&k), model.pos(k).map(|i| &model.0[i].1)),
+            }
+            // Order, length, lookups and index consistency.
+            let order: Vec<(K, u32)> = m.iter().map(|(&k, &v)| (k, v)).collect();
+            proptest::prop_assert_eq!(&order, &model.0);
+            proptest::prop_assert_eq!(m.len(), model.0.len());
+            proptest::prop_assert_eq!(m.is_empty(), model.0.is_empty());
+            // Compaction keeps tombstones from outnumbering live entries.
+            proptest::prop_assert!(m.entries.len() <= 2 * m.len());
+            check_table(&m)?;
+            for &(k, v) in &model.0 {
+                proptest::prop_assert_eq!(m.get(&k), Some(&v));
+            }
+            // Debug text is the model's, as a map literal.
+            let mut text = String::from("{");
+            for (i, (k, v)) in model.0.iter().enumerate() {
+                if i > 0 {
+                    text.push_str(", ");
+                }
+                text.push_str(&format!("{k:?}: {v}"));
+            }
+            text.push('}');
+            proptest::prop_assert_eq!(format!("{m:?}"), text);
+            // Content equality against fresh maps in either order, and
+            // inequality once one value differs.
+            let fresh: DetMap<K, u32> = model.0.iter().copied().collect();
+            let reversed: DetMap<K, u32> = model.0.iter().rev().copied().collect();
+            proptest::prop_assert!(m == fresh && m == reversed);
+            if let Some(&(k, v)) = model.0.first() {
+                let mut other = fresh.clone();
+                other.insert(k, v + 1);
+                proptest::prop_assert!(m != other);
+            }
+        }
+        let owned: Vec<(K, u32)> = m.into_iter().collect();
+        proptest::prop_assert_eq!(owned, model.0);
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
+        /// Up to 64 live keys: runs cross the scan threshold, grow the
+        /// slot table and rebuild it on compaction.
         #[test]
         fn detmap_matches_vec_model(
-            ops in proptest::collection::vec((0u8..8, 0u8..12, 0u32..100), 0..200),
+            ops in proptest::collection::vec((0u8..8, 0u8..64, 0u32..100), 0..400),
         ) {
-            let mut m: DetMap<u8, u32> = DetMap::new();
-            let mut model = Model::default();
-            for (kind, k, v) in ops {
+            run_against_model(ops, |k| k)?;
+        }
+
+        /// The same runs with every key hashing alike.
+        #[test]
+        fn detmap_with_colliding_keys_matches_vec_model(
+            ops in proptest::collection::vec((0u8..8, 0u8..32, 0u32..100), 0..300),
+        ) {
+            run_against_model(ops, Collide)?;
+        }
+
+        /// `DetSet` against an insertion-ordered `Vec` of members.
+        #[test]
+        fn detset_matches_vec_model(
+            ops in proptest::collection::vec((0u8..3, 0u8..64), 0..400),
+        ) {
+            let mut s: DetSet<u8> = DetSet::new();
+            let mut model: Vec<u8> = Vec::new();
+            for (kind, v) in ops {
+                let pos = model.iter().position(|&m| m == v);
                 match kind {
-                    0..=2 => proptest::prop_assert_eq!(m.insert(k, v), model.insert(k, v)),
-                    3..=5 => proptest::prop_assert_eq!(m.remove(&k), model.remove(k)),
-                    6 => {
-                        let got = *m.entry(k).or_default() + v;
-                        *m.entry(k).or_insert(0) += v;
-                        proptest::prop_assert_eq!(got, model.add(k, v));
+                    0 => {
+                        proptest::prop_assert_eq!(s.insert(v), pos.is_none());
+                        if pos.is_none() {
+                            model.push(v);
+                        }
                     }
-                    _ => proptest::prop_assert_eq!(m.get(&k), model.pos(k).map(|i| &model.0[i].1)),
-                }
-                // Order, length, lookups and index consistency.
-                let order: Vec<(u8, u32)> = m.iter().map(|(&k, &v)| (k, v)).collect();
-                proptest::prop_assert_eq!(&order, &model.0);
-                proptest::prop_assert_eq!(m.len(), model.0.len());
-                proptest::prop_assert_eq!(m.is_empty(), model.0.is_empty());
-                // Compaction keeps tombstones from outnumbering live entries.
-                proptest::prop_assert!(m.entries.len() <= 2 * m.len());
-                for &(k, v) in &model.0 {
-                    proptest::prop_assert_eq!(m.get(&k), Some(&v));
-                }
-                // Debug text is the model's, as a map literal.
-                let mut text = String::from("{");
-                for (i, (k, v)) in model.0.iter().enumerate() {
-                    if i > 0 {
-                        text.push_str(", ");
+                    1 => {
+                        proptest::prop_assert_eq!(s.remove(&v), pos.is_some());
+                        if let Some(i) = pos {
+                            model.remove(i);
+                        }
                     }
-                    text.push_str(&format!("{k}: {v}"));
+                    _ => proptest::prop_assert_eq!(s.contains(&v), pos.is_some()),
                 }
-                text.push('}');
-                proptest::prop_assert_eq!(format!("{m:?}"), text);
-                // Content equality against fresh maps in either order, and
-                // inequality once one value differs.
-                let fresh: DetMap<u8, u32> = model.0.iter().copied().collect();
-                let reversed: DetMap<u8, u32> = model.0.iter().rev().copied().collect();
-                proptest::prop_assert!(m == fresh && m == reversed);
-                if let Some(&(k, v)) = model.0.first() {
-                    let mut other = fresh.clone();
-                    other.insert(k, v + 1);
-                    proptest::prop_assert!(m != other);
-                }
+                let order: Vec<u8> = s.iter().copied().collect();
+                proptest::prop_assert_eq!(&order, &model);
+                proptest::prop_assert_eq!(s.len(), model.len());
+                check_table(&s.map)?;
+                let reversed: DetSet<u8> = model.iter().rev().copied().collect();
+                proptest::prop_assert!(s == reversed);
             }
-            let owned: Vec<(u8, u32)> = m.into_iter().collect();
-            proptest::prop_assert_eq!(owned, model.0);
+            let owned: Vec<u8> = s.into_iter().collect();
+            proptest::prop_assert_eq!(owned, model);
         }
     }
 }

@@ -557,7 +557,7 @@ impl Coordinator {
                     .ops
                     .get(&op)
                     .and_then(|s| s.gathered.get(&obj).cloned())
-                    .unwrap_or((Timestamp::ZERO, Bytes::new()));
+                    .unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
                 let stale: Vec<SiteId> = responses
                     .iter()
                     .filter(|(o, _, seen)| *o == obj && *seen < best.0)
@@ -622,7 +622,7 @@ impl Coordinator {
                 .gathered
                 .get(&obj)
                 .cloned()
-                .unwrap_or((Timestamp::ZERO, Bytes::new()));
+                .unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
             s.round_quorums.insert(obj, s.round_quorum.clone());
             s.read_round += 1;
             (obj, best, s.round_responses.clone(), s.client)
@@ -846,7 +846,7 @@ impl Coordinator {
                 .gathered
                 .get(&obj)
                 .cloned()
-                .unwrap_or((Timestamp::ZERO, Bytes::new()));
+                .unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
             self.checker.check_read(op, obj, &value, ts);
             engine.metrics.reads_ok += 1;
             if let Some(q) = state.round_quorums.get(&obj) {
@@ -950,7 +950,7 @@ impl Coordinator {
                 .gathered
                 .get(&obj)
                 .cloned()
-                .unwrap_or((Timestamp::ZERO, Bytes::new()));
+                .unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
             self.checker.check_read(op, obj, &value, ts);
             let sid = self.clients[self.migration_client().0 as usize].sid;
             self.issue_migration_write(engine, shards, obj, value, ts.next(sid));
@@ -1332,8 +1332,19 @@ impl Coordinator {
         self.try_advance_reconfig(engine, shards);
     }
 
-    /// Snapshot of the run's outcome.
+    /// Snapshot of the run's outcome, with a copy of the history.
     pub(crate) fn report(&self, engine: &Engine) -> SimReport {
+        self.report_with(engine, self.history.clone())
+    }
+
+    /// The finished run's outcome. The history moves into the report
+    /// instead of being copied, leaving the coordinator's empty.
+    pub(crate) fn take_report(&mut self, engine: &Engine) -> SimReport {
+        let history = std::mem::take(&mut self.history);
+        self.report_with(engine, history)
+    }
+
+    fn report_with(&self, engine: &Engine, history: History) -> SimReport {
         SimReport {
             metrics: engine.metrics.clone(),
             violations: self.checker.violations().len(),
@@ -1341,7 +1352,7 @@ impl Coordinator {
             ops_incomplete: self.ops.len(),
             reads_checked: self.checker.reads_checked(),
             writes_recorded: self.checker.writes_recorded(),
-            history: self.history.clone(),
+            history,
         }
     }
 }

@@ -95,95 +95,98 @@ impl History {
     }
 
     /// Runs the offline per-object atomic-register check, returning every
-    /// violation found (empty = linearizable per object).
+    /// violation found (empty = linearizable per object), grouped by
+    /// object in ascending order.
+    ///
+    /// One stable sort by object groups the events; each group keeps
+    /// recording order, so the checks run in one pass per object.
     pub fn check_linearizable(&self) -> Vec<HistoryViolation> {
+        let mut by_obj: Vec<&HistoryEvent> = self.events.iter().collect();
+        by_obj.sort_by_key(|e| e.obj);
         let mut violations = Vec::new();
-        let mut objects: Vec<ObjectId> = self.events.iter().map(|e| e.obj).collect();
-        objects.sort();
-        objects.dedup();
+        for events in by_obj.chunk_by(|a, b| a.obj == b.obj) {
+            check_object(events, &mut violations);
+        }
+        violations
+    }
+}
 
-        for obj in objects {
-            let mut writes: Vec<&HistoryEvent> = self
-                .events
-                .iter()
-                .filter(|e| e.obj == obj && e.kind == HistoryKind::Write)
-                .collect();
-            writes.sort_by_key(|w| w.ts);
+/// Checks one object's events (in recording order) as an atomic register.
+fn check_object(events: &[&HistoryEvent], violations: &mut Vec<HistoryViolation>) {
+    let obj = events[0].obj;
+    let mut writes: Vec<&HistoryEvent> = events
+        .iter()
+        .copied()
+        .filter(|e| e.kind == HistoryKind::Write)
+        .collect();
+    writes.sort_by_key(|w| w.ts);
 
-            // Duplicate write timestamps are themselves a violation.
-            for pair in writes.windows(2) {
-                if pair[0].ts == pair[1].ts {
-                    violations.push(HistoryViolation {
-                        op: pair[1].op,
-                        obj,
-                        reason: format!("duplicate write timestamp {}", pair[1].ts),
-                    });
-                }
+    // Duplicate write timestamps are themselves a violation.
+    for pair in writes.windows(2) {
+        if pair[0].ts == pair[1].ts {
+            violations.push(HistoryViolation {
+                op: pair[1].op,
+                obj,
+                reason: format!("duplicate write timestamp {}", pair[1].ts),
+            });
+        }
+    }
+
+    // Rule 1: timestamp order must not contradict real time.
+    for (i, w1) in writes.iter().enumerate() {
+        for w2 in &writes[i + 1..] {
+            if w2.responded < w1.invoked {
+                violations.push(HistoryViolation {
+                    op: w2.op,
+                    obj,
+                    reason: format!(
+                        "write {} precedes {} in time but follows it in timestamp order",
+                        w2.ts, w1.ts
+                    ),
+                });
             }
+        }
+    }
 
-            // Rule 1: timestamp order must not contradict real time.
-            for (i, w1) in writes.iter().enumerate() {
-                for w2 in &writes[i + 1..] {
-                    if w2.responded < w1.invoked {
-                        violations.push(HistoryViolation {
-                            op: w2.op,
-                            obj,
-                            reason: format!(
-                                "write {} precedes {} in time but follows it in timestamp order",
-                                w2.ts, w1.ts
-                            ),
-                        });
-                    }
-                }
-            }
-
-            for read in self
-                .events
-                .iter()
-                .filter(|e| e.obj == obj && e.kind == HistoryKind::Read)
-            {
-                // Rule 2: a read cannot return a write invoked after the
-                // read responded. ZERO means "initial value" — always fine.
-                if read.ts != Timestamp::ZERO {
-                    match writes.iter().find(|w| w.ts == read.ts) {
-                        None => violations.push(HistoryViolation {
-                            op: read.op,
-                            obj,
-                            reason: format!(
-                                "returned {} which no committed write produced",
-                                read.ts
-                            ),
-                        }),
-                        Some(w) => {
-                            if w.invoked > read.responded {
-                                violations.push(HistoryViolation {
-                                    op: read.op,
-                                    obj,
-                                    reason: format!(
-                                        "returned {} before that write was invoked",
-                                        read.ts
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                // Rule 3: must not miss a write completed before invocation.
-                for w in &writes {
-                    if w.responded < read.invoked && read.ts < w.ts {
+    for read in events.iter().filter(|e| e.kind == HistoryKind::Read) {
+        // The writes stamped at or below the read's timestamp form a
+        // prefix of `writes`; the first one after it is the earliest
+        // write with a newer stamp.
+        let newer = writes.partition_point(|w| w.ts <= read.ts);
+        // Rule 2: a read cannot return a write invoked after the read
+        // responded. ZERO means "initial value" — always fine.
+        if read.ts != Timestamp::ZERO {
+            let first_eq = writes[..newer].partition_point(|w| w.ts < read.ts);
+            match writes[first_eq..newer].first() {
+                None => violations.push(HistoryViolation {
+                    op: read.op,
+                    obj,
+                    reason: format!("returned {} which no committed write produced", read.ts),
+                }),
+                Some(w) => {
+                    if w.invoked > read.responded {
                         violations.push(HistoryViolation {
                             op: read.op,
                             obj,
-                            reason: format!(
-                                "returned {} but write {} had already completed",
-                                read.ts, w.ts
-                            ),
+                            reason: format!("returned {} before that write was invoked", read.ts),
                         });
                     }
                 }
             }
         }
-        violations
+        // Rule 3: must not miss a write completed before invocation.
+        for w in &writes[newer..] {
+            if w.responded < read.invoked {
+                violations.push(HistoryViolation {
+                    op: read.op,
+                    obj,
+                    reason: format!(
+                        "returned {} but write {} had already completed",
+                        read.ts, w.ts
+                    ),
+                });
+            }
+        }
     }
 }
 
@@ -289,6 +292,118 @@ mod tests {
         other.obj = ObjectId(1);
         h.record(other); // different object: not stale
         assert!(h.check_linearizable().is_empty());
+    }
+
+    /// The per-object checker before its one-pass rewrite: one filter of
+    /// the whole history per distinct object. Kept as the reference model
+    /// for [`History::check_linearizable`].
+    fn reference_check(h: &History) -> Vec<HistoryViolation> {
+        let mut violations = Vec::new();
+        let mut objects: Vec<ObjectId> = h.events.iter().map(|e| e.obj).collect();
+        objects.sort();
+        objects.dedup();
+        for obj in objects {
+            let mut writes: Vec<&HistoryEvent> = h
+                .events
+                .iter()
+                .filter(|e| e.obj == obj && e.kind == HistoryKind::Write)
+                .collect();
+            writes.sort_by_key(|w| w.ts);
+            for pair in writes.windows(2) {
+                if pair[0].ts == pair[1].ts {
+                    violations.push(HistoryViolation {
+                        op: pair[1].op,
+                        obj,
+                        reason: format!("duplicate write timestamp {}", pair[1].ts),
+                    });
+                }
+            }
+            for (i, w1) in writes.iter().enumerate() {
+                for w2 in &writes[i + 1..] {
+                    if w2.responded < w1.invoked {
+                        violations.push(HistoryViolation {
+                            op: w2.op,
+                            obj,
+                            reason: format!(
+                                "write {} precedes {} in time but follows it in timestamp order",
+                                w2.ts, w1.ts
+                            ),
+                        });
+                    }
+                }
+            }
+            for read in h
+                .events
+                .iter()
+                .filter(|e| e.obj == obj && e.kind == HistoryKind::Read)
+            {
+                if read.ts != Timestamp::ZERO {
+                    match writes.iter().find(|w| w.ts == read.ts) {
+                        None => violations.push(HistoryViolation {
+                            op: read.op,
+                            obj,
+                            reason: format!(
+                                "returned {} which no committed write produced",
+                                read.ts
+                            ),
+                        }),
+                        Some(w) => {
+                            if w.invoked > read.responded {
+                                violations.push(HistoryViolation {
+                                    op: read.op,
+                                    obj,
+                                    reason: format!(
+                                        "returned {} before that write was invoked",
+                                        read.ts
+                                    ),
+                                });
+                            }
+                        }
+                    }
+                }
+                for w in &writes {
+                    if w.responded < read.invoked && read.ts < w.ts {
+                        violations.push(HistoryViolation {
+                            op: read.op,
+                            obj,
+                            reason: format!(
+                                "returned {} but write {} had already completed",
+                                read.ts, w.ts
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        violations
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random histories over a few objects, with timestamps drawn from
+        /// a small range so that duplicate write stamps, stale reads and
+        /// reads of stamps no write produced (phantoms) are all common.
+        #[test]
+        fn one_pass_check_matches_reference(
+            raw in proptest::collection::vec(
+                (0u32..4, proptest::prelude::any::<bool>(), 0u64..100, 0u64..40, 0u64..6, 0u32..2),
+                0..120,
+            ),
+        ) {
+            let mut h = History::new();
+            for (i, (obj, is_write, inv, dur, version, sid)) in raw.into_iter().enumerate() {
+                h.record(HistoryEvent {
+                    op: OpId(i as u64),
+                    kind: if is_write { HistoryKind::Write } else { HistoryKind::Read },
+                    obj: ObjectId(obj),
+                    invoked: SimTime::from_micros(inv),
+                    responded: SimTime::from_micros(inv + dur),
+                    ts: Timestamp::new(version, SiteId::new(sid)),
+                });
+            }
+            proptest::prop_assert_eq!(h.check_linearizable(), reference_check(&h));
+        }
     }
 
     #[test]

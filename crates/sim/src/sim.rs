@@ -258,7 +258,9 @@ impl Simulation {
     }
 
     /// Runs the simulation to its configured end time and reports, firing
-    /// events in the classic seeded order (earliest first).
+    /// events in the classic seeded order (earliest first). The recorded
+    /// history moves into the returned report (see
+    /// [`Simulation::run_with`]).
     pub fn run(&mut self) -> SimReport {
         self.run_with(&mut crate::scheduler::SeededScheduler)
     }
@@ -269,7 +271,9 @@ impl Simulation {
     /// byte-identical to [`Simulation::run`].
     ///
     /// The run ends when the scheduler returns `None`, the queue is empty,
-    /// or the selected event lies past the configured end time.
+    /// or the selected event lies past the configured end time. The
+    /// recorded history then moves into the returned report rather than
+    /// being copied, so a later [`Simulation::report`] shows it empty.
     pub fn run_with(&mut self, scheduler: &mut dyn crate::scheduler::Scheduler) -> SimReport {
         // Stagger initial client ticks so they do not synchronize.
         for c in 0..self.coordinator.config.clients as u32 {
@@ -282,7 +286,7 @@ impl Simulation {
                 break;
             }
         }
-        self.coordinator.report(&self.engine)
+        self.coordinator.take_report(&self.engine)
     }
 
     /// Executes the pending event identified by `key`. Returns `false` (and
@@ -379,9 +383,9 @@ impl Simulation {
         self.engine.flush_outbox();
     }
 
-    /// Snapshot of the run's outcome so far (what [`Simulation::run`]
-    /// returns at the end; schedulers that stop a run early can still
-    /// report it).
+    /// Snapshot of the run's outcome so far, with a copy of the history
+    /// recorded so far (what [`Simulation::run`] returns at the end;
+    /// schedulers that stop a run early can still report it).
     pub fn report(&self) -> SimReport {
         self.coordinator.report(&self.engine)
     }
@@ -549,6 +553,9 @@ mod tests {
             report.metrics
         );
         assert!(report.history.check_linearizable().is_empty());
+        // The history moved into the finished run's report.
+        assert!(!report.history.is_empty());
+        assert!(sim.report().history.is_empty());
     }
 
     #[test]

@@ -109,6 +109,12 @@ impl Storage {
         self.committed.get(&obj).cloned().unwrap_or_default()
     }
 
+    /// The timestamp of the committed version of `obj` (zero if never
+    /// written) — [`Storage::read`]'s `ts` without copying the version.
+    pub(crate) fn committed_ts(&self, obj: ObjectId) -> Timestamp {
+        self.committed.get(&obj).map_or(Timestamp::ZERO, |v| v.ts)
+    }
+
     /// The cumulated-hash range tree over the committed keyspace, built
     /// from the committed map on the first call.
     pub fn htree(&self) -> &HTree {
@@ -166,13 +172,13 @@ impl Storage {
     pub fn commit(&mut self, obj: ObjectId, op: OpId, value: Bytes, ts: Timestamp) {
         if self.staged.get(&obj).is_some_and(|s| s.op == op) {
             if let Some(staged) = self.staged.remove(&obj) {
-                if staged.ts > self.read(obj).ts {
+                if staged.ts > self.committed_ts(obj) {
                     self.install(obj, staged.value, staged.ts);
                 }
                 return;
             }
         }
-        if ts > self.read(obj).ts {
+        if ts > self.committed_ts(obj) {
             self.install(obj, value, ts);
         }
     }
@@ -192,7 +198,7 @@ impl Storage {
     /// whether the value was applied (`false`: the local copy was already
     /// at least as new).
     pub fn repair(&mut self, obj: ObjectId, value: Bytes, ts: Timestamp) -> bool {
-        if ts > self.read(obj).ts {
+        if ts > self.committed_ts(obj) {
             self.install(obj, value, ts);
             true
         } else {
@@ -244,6 +250,7 @@ mod tests {
         let s = Storage::new();
         let v = s.read(ObjectId(0));
         assert_eq!(v.ts, Timestamp::ZERO);
+        assert_eq!(s.committed_ts(ObjectId(0)), Timestamp::ZERO);
         assert!(v.value.is_empty());
         assert!(s.htree().is_empty());
     }
@@ -259,6 +266,7 @@ mod tests {
         assert!(s.htree().is_empty());
         s.commit(obj, OpId(1), Bytes::from_static(b"a"), ts(1));
         assert_eq!(s.read(obj).ts, ts(1));
+        assert_eq!(s.committed_ts(obj), ts(1));
         assert_eq!(s.read(obj).value, Bytes::from_static(b"a"));
         assert!(s.staged(obj).is_none());
         assert_eq!(s.htree().len(), 1);
