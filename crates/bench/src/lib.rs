@@ -15,11 +15,6 @@
 //!
 //! Run any of them with `cargo run -p arbitree-bench --bin <name> --release`.
 //!
-//! The `race_audit` binary (behind `--features race-audit`) is the CI
-//! entry point for the concurrency auditor: it runs the threaded-harness
-//! smoke suite under recording sessions plus the seeded-mutation kill
-//! matrix, and writes `RACE_report.json`.
-//!
 //! Criterion microbenchmarks live in `benches/`: quorum enumeration and
 //! picking, LP-solver scaling, simulator throughput, and the ablations
 //! DESIGN.md calls out.
@@ -33,8 +28,8 @@ pub fn arg_value(args: &[String], key: &str) -> Option<f64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// The shared machine-readable report format every `BENCH_*.json` /
-/// `RACE_report.json` artifact uses.
+/// The shared machine-readable report format every `BENCH_*.json`
+/// artifact uses.
 ///
 /// Envelope (`arbitree-bench-report/v1`):
 ///

@@ -20,7 +20,7 @@
 //! | D008 | `Payload` variants missing an explicit `Payload::object()` arm (file-level) |
 //! | D009 | `Payload` variants missing from the checker's `payload_class` mapping (cross-file) |
 //! | D010 | `LockManager::acquire` with no prior stripe-order sort (file-level) |
-//! | D011 | raw `thread::spawn`/`Mutex`/`RwLock`/`mpsc`/crossbeam outside the arbitree-race seam |
+//! | D011 | raw `thread::spawn`/`Mutex`/`RwLock`/`mpsc`/crossbeam outside `crates/sim/src/harness.rs` |
 //!
 //! Findings a human has judged safe are suppressed inline — the directive
 //! **requires a reason**, so every exception is self-documenting:

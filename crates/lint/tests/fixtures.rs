@@ -203,8 +203,8 @@ fn d011_positive() {
     check("d011_positive.rs");
 }
 
-/// Traced wrappers, atomics, and test-module usage are clean; one raw
-/// bootstrap `Mutex` survives behind a reasoned suppression.
+/// `RefCell`, atomics, and test-module usage are clean; one raw bootstrap
+/// `Mutex` survives behind a reasoned suppression.
 #[test]
 fn d011_negative() {
     let report = check("d011_negative.rs");

@@ -1,27 +1,25 @@
 //@ path: crates/sim/src/fixture.rs
-// A Mutex mentioned in prose never fires; the traced wrappers, the atomic
-// escape hatch, and test-module usage are all clean; and a genuinely raw
+// A Mutex mentioned in prose never fires; single-threaded interior
+// mutability, the atomic escape hatch, names that merely contain a
+// primitive's, and test-module usage are all clean; and a genuinely raw
 // primitive may survive behind a reasoned suppression.
-use arbitree_race::{scope, traced_channel, TracedMutex, TracedRwLock};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-pub fn traced_concurrency() -> usize {
-    let m = TracedMutex::new(0u32);
-    let l = TracedRwLock::new(Vec::<u32>::new());
-    let (tx, rx) = traced_channel::<u32>();
+pub struct StripeMutexStats(pub usize);
+
+pub fn single_threaded() -> usize {
+    let table = RefCell::new(Vec::<u32>::new());
+    table.borrow_mut().push(1);
     let n = AtomicUsize::new(0);
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let r = scope(|s| {
-        let h = s.spawn(move |_| tx.send(1));
-        h.join()
-    });
     let banner = "thread::spawn and Mutex::new in a string";
-    drop((m, l, rx, banner, r));
-    n.load(Ordering::Relaxed) + threads
+    let stats = StripeMutexStats(banner.len());
+    n.load(Ordering::Relaxed) + threads + table.borrow().len() + stats.0
 }
 
 pub fn justified() -> u32 {
-    // arbitree-lint: allow(D011) — bootstrap lock that must exist before the traced seam does
+    // arbitree-lint: allow(D011) — bootstrap lock that must exist before the worker pool does
     let bootstrap = std::sync::Mutex::new(7u32);
     bootstrap.into_inner().unwrap_or(0)
 }

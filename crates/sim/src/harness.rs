@@ -3,6 +3,10 @@
 //! full dynamic simulations, and a parallel experiment runner
 //! ([`run_cells`]) that executes a batch of independent simulation cells
 //! across worker threads with seed-for-seed deterministic results.
+//!
+//! This is the one module that owns real threads ([`parallel_map`], which
+//! [`run_cells`] and [`empirical_availability`] run on). The work items
+//! share nothing, and every simulation inside them is single-threaded.
 
 use crate::config::SimConfig;
 use crate::failure::FailureSchedule;
@@ -10,12 +14,10 @@ use crate::nemesis::Nemesis;
 use crate::sim::Simulation;
 use crate::txn::SimReport;
 use arbitree_quorum::{AliveSet, ReplicaControl, SiteId};
-use arbitree_race as race;
-use arbitree_race::{traced_channel, TracedMutex, TracedSender};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Empirical read/write availability: sample `trials` alive-site vectors
 /// (each site up independently with probability `p`) and count the fraction
@@ -39,50 +41,44 @@ pub fn empirical_availability<P: ReplicaControl + Sync + ?Sized>(
     let n = protocol.universe().len();
     assert!(n <= AliveSet::MAX_SITES);
 
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get().min(8));
-    let per_thread = trials / threads as u32;
-    let remainder = trials % threads as u32;
-
-    let totals = race::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let my_trials = per_thread + u32::from((t as u32) < remainder);
+    // A fixed split, so the result depends on the seed alone and not on
+    // the machine's core count.
+    const CHUNKS: u32 = 8;
+    let chunks: Vec<(u32, u64)> = (0..CHUNKS)
+        .map(|t| {
+            let my_trials = trials / CHUNKS + u32::from(t < trials % CHUNKS);
             let my_seed = seed
-                .wrapping_add(t as u64)
+                .wrapping_add(u64::from(t))
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            handles.push(scope.spawn(move |_| {
-                let mut rng = StdRng::seed_from_u64(my_seed);
-                let mut reads = 0u64;
-                let mut writes = 0u64;
-                for _ in 0..my_trials {
-                    let mut alive = AliveSet::empty();
-                    for i in 0..n as u32 {
-                        if rng.gen::<f64>() < p {
-                            alive.insert(SiteId::new(i));
-                        }
-                    }
-                    if protocol.pick_read_quorum(alive, &mut rng).is_some() {
-                        reads += 1;
-                    }
-                    if protocol.pick_write_quorum(alive, &mut rng).is_some() {
-                        writes += 1;
-                    }
+            (my_trials, my_seed)
+        })
+        .collect();
+    let (reads, writes) = parallel_map(chunks, |(my_trials, my_seed)| {
+        let mut rng = StdRng::seed_from_u64(my_seed);
+        let mut reads = 0u64;
+        let mut writes = 0u64;
+        for _ in 0..my_trials {
+            let mut alive = AliveSet::empty();
+            for i in 0..n as u32 {
+                if rng.gen::<f64>() < p {
+                    alive.insert(SiteId::new(i));
                 }
-                (reads, writes)
-            }));
+            }
+            if protocol.pick_read_quorum(alive, &mut rng).is_some() {
+                reads += 1;
+            }
+            if protocol.pick_write_quorum(alive, &mut rng).is_some() {
+                writes += 1;
+            }
         }
-        handles
-            .into_iter()
-            // arbitree-lint: allow(D005) — a panicking trial thread must propagate, not be silently dropped
-            .map(|h| h.join().expect("trial thread panicked"))
-            .fold((0u64, 0u64), |(ar, aw), (r, w)| (ar + r, aw + w))
+        (reads, writes)
     })
-    // arbitree-lint: allow(D005) — the traced scope errors only when a child thread panicked
-    .expect("trial scope");
+    .into_iter()
+    .fold((0u64, 0u64), |(ar, aw), (r, w)| (ar + r, aw + w));
 
     (
-        totals.0 as f64 / f64::from(trials),
-        totals.1 as f64 / f64::from(trials),
+        reads as f64 / f64::from(trials),
+        writes as f64 / f64::from(trials),
     )
 }
 
@@ -279,78 +275,56 @@ impl fmt::Debug for ExperimentCell {
 }
 
 /// Applies `f` to every item on a pool of scoped worker threads, returning
-/// results **in input order**. Items are claimed from a shared work index,
-/// so long items do not serialize behind short ones. Workers send results
-/// back over a traced channel keyed by input index, so the output order is
-/// independent of scheduling.
+/// results **in input order**. Workers pull `(index, item)` pairs from one
+/// shared iterator, so long items do not serialize behind short ones, and
+/// each result lands in the slot of its input index, so the output order
+/// is independent of scheduling. With one thread (or one item) the map
+/// runs serially on the calling thread.
 ///
 /// # Panics
 ///
 /// Propagates a panic from any invocation of `f` with its original
-/// payload: the remaining workers are allowed to finish their claimed
-/// items, then the first panic resumes unwinding on the calling thread.
+/// payload: the remaining workers finish the remaining items, then the
+/// first panic resumes unwinding on the calling thread.
 pub fn parallel_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let work: Vec<TracedMutex<Option<T>>> = items
-        .into_iter()
-        .map(|t| TracedMutex::new(Some(t)))
-        .collect();
-    let next = AtomicUsize::new(0);
     let threads = std::thread::available_parallelism()
         .map_or(1, |t| t.get())
         .min(8)
         .min(n);
-    let (tx, rx) = traced_channel::<(usize, U)>();
-    let run_worker = |tx: TracedSender<(usize, U)>| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let item = work[i]
-            .lock()
-            .take()
-            // arbitree-lint: allow(D005) — the atomic fetch_add hands each index to exactly one worker
-            .expect("item claimed once");
-        let out = f(item);
-        if tx.send((i, out)).is_err() {
-            // The receiver is gone: the caller is already unwinding.
-            break;
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let work = Mutex::new(items.into_iter().enumerate());
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard is a temporary of this statement: `f` runs unlocked.
+            let next = work.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else {
+                return done;
+            };
+            done.push((i, f(item)));
         }
     };
-    if threads <= 1 {
-        run_worker(tx);
-    } else {
-        let first_panic = race::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let tx = tx.clone();
-                    scope.spawn(move |_| run_worker(tx))
-                })
-                .collect();
-            drop(tx);
-            let mut first_panic = None;
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    first_panic.get_or_insert(payload);
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
+    for result in joined {
+        match result {
+            Ok(done) => {
+                for (i, out) in done {
+                    slots[i] = Some(out);
                 }
             }
-            first_panic
-        });
-        match first_panic {
-            Ok(Some(payload)) | Err(payload) => std::panic::resume_unwind(payload),
-            Ok(None) => {}
+            Err(payload) => std::panic::resume_unwind(payload),
         }
-    }
-    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    for (i, out) in rx.iter() {
-        slots[i] = Some(out);
     }
     slots
         .into_iter()
-        // arbitree-lint: allow(D005) — every index below n was claimed and sent by exactly one worker
+        // arbitree-lint: allow(D005) — every index below n was pulled and mapped by exactly one worker
         .map(|s| s.expect("every slot filled"))
         .collect()
 }
@@ -564,6 +538,9 @@ mod tests {
         let a = empirical_availability(&p, 0.7, 5_000, 9);
         let b = empirical_availability(&p, 0.7, 5_000, 9);
         assert_eq!(a, b);
+        // Trials split into a fixed set of seeded chunks, so the pair is
+        // the same whatever the machine's core count.
+        assert_eq!(a, (4_866.0 / 5_000.0, 2_279.0 / 5_000.0));
     }
 
     #[test]

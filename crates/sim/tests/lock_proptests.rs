@@ -160,57 +160,3 @@ proptest! {
         prop_assert_eq!(lm.locked_objects(), 0, "locks leaked after quiescence");
     }
 }
-
-/// Deterministic per-thread workout: two ops per round contend on one
-/// object (grant, queue, wake), cycling through the thread's own disjoint
-/// object range. Returns every observable the script saw.
-fn contention_script(lm: &LockManager, thread: u32) -> Vec<(bool, bool, Vec<OpId>)> {
-    let base = thread * 32;
-    let mut out = Vec::new();
-    for round in 0..24u32 {
-        let obj = ObjectId(base + round % 6);
-        let op_a = OpId(u64::from(thread) * 1_000 + u64::from(round) * 2);
-        let op_b = OpId(u64::from(thread) * 1_000 + u64::from(round) * 2 + 1);
-        let mode_b = if round % 2 == 0 {
-            LockMode::Read
-        } else {
-            LockMode::Write
-        };
-        let granted_a = lm.acquire(op_a, obj, LockMode::Write);
-        let granted_b = lm.acquire(op_b, obj, mode_b);
-        let woken = lm.release(op_a, obj);
-        lm.release(op_b, obj);
-        out.push((granted_a, granted_b, woken));
-    }
-    out
-}
-
-/// Real threads hammer a striped manager concurrently (each on a disjoint
-/// object range, so the outcome is schedule-independent); every observable
-/// must match a serial single-table replay of the same scripts.
-#[test]
-fn striped_manager_under_real_threads_matches_serial_replay() {
-    const THREADS: u32 = 4;
-    let striped = LockManager::striped(8);
-    let threaded: Vec<Vec<(bool, bool, Vec<OpId>)>> = arbitree_race::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let striped = &striped;
-                s.spawn(move |_| contention_script(striped, t))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("script thread panicked"))
-            .collect()
-    })
-    .expect("stress scope");
-    assert_eq!(striped.locked_objects(), 0, "locks leaked");
-
-    let flat = LockManager::new();
-    for (t, observed) in threaded.iter().enumerate() {
-        let serial = contention_script(&flat, t as u32);
-        assert_eq!(observed, &serial, "thread {t} diverged from serial replay");
-    }
-    assert_eq!(flat.locked_objects(), 0);
-}
