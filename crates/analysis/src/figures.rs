@@ -83,24 +83,11 @@ pub fn sweep(config: Configuration, max_n: usize) -> Vec<usize> {
     }
 }
 
-/// Figure 2 — communication costs of read and write operations of the six
-/// configurations, for sizes up to `max_n`.
-pub fn figure2(max_n: usize) -> Vec<SeriesPoint> {
-    series(max_n, 0.7)
-}
-
-/// Figure 3 — (expected) system loads of read operations. `p` is the
-/// per-replica availability used for the expected loads.
-pub fn figure3(max_n: usize, p: f64) -> Vec<SeriesPoint> {
-    series(max_n, p)
-}
-
-/// Figure 4 — (expected) system loads of write operations.
-pub fn figure4(max_n: usize, p: f64) -> Vec<SeriesPoint> {
-    series(max_n, p)
-}
-
-fn series(max_n: usize, p: f64) -> Vec<SeriesPoint> {
+/// The series behind Figures 2–4: every §4 configuration at each of its
+/// feasible sizes up to `max_n`. `p` is the per-replica availability for
+/// the availabilities and expected loads (Figures 3 and 4); Figure 2's
+/// communication costs do not depend on it.
+pub fn series(max_n: usize, p: f64) -> Vec<SeriesPoint> {
     let mut out = Vec::new();
     for config in Configuration::ALL {
         for n in sweep(config, max_n) {
@@ -145,7 +132,7 @@ pub fn config_series(
         .collect()
 }
 
-/// The shared chart tail of the `fig2`/`fig3`/`fig4` binaries: if `args`
+/// The shared chart tail of `paper_report fig2|fig3|fig4`: if `args`
 /// carries `--svg [dir]`, writes the figure as `svg_file` into `dir`
 /// (default `.`); then prints the terminal chart under `chart_label`.
 pub fn emit_figure_charts(
@@ -188,7 +175,7 @@ mod tests {
 
     #[test]
     fn figure2_shapes_match_paper_claims() {
-        let data = figure2(300);
+        let data = series(300, 0.7);
         // MOSTLY-READ: read cost 1, write cost n.
         for p in data.iter().filter(|p| p.config == "MOSTLY-READ") {
             assert_eq!(p.read_cost, 1.0);
@@ -219,7 +206,7 @@ mod tests {
 
     #[test]
     fn figure3_read_load_claims() {
-        let data = figure3(300, 0.8);
+        let data = series(300, 0.8);
         // UNMODIFIED read load is 1 for every n.
         for p in data.iter().filter(|p| p.config == "UNMODIFIED") {
             assert_eq!(p.read_load, 1.0);
@@ -252,7 +239,7 @@ mod tests {
 
     #[test]
     fn figure4_write_load_claims() {
-        let data = figure4(300, 0.8);
+        let data = series(300, 0.8);
         // MOSTLY-READ write load 1; MOSTLY-WRITE least at 2/(n−1) (odd n).
         for p in data.iter().filter(|p| p.config == "MOSTLY-READ") {
             assert_eq!(p.write_load, 1.0);
@@ -277,7 +264,7 @@ mod tests {
 
     #[test]
     fn config_series_groups_in_order() {
-        let data = figure2(100);
+        let data = series(100, 0.7);
         let series = config_series(&data, |p| p.write_cost);
         assert_eq!(series.len(), Configuration::ALL.len());
         // First appearance order matches the sweep's configuration order.

@@ -36,6 +36,4 @@ pub mod svg;
 
 pub use config::Configuration;
 pub use crossover::{crossover, metrics, Metric};
-pub use figures::{
-    availability_limits, figure2, figure3, figure4, lower_bound_comparison, point, SeriesPoint,
-};
+pub use figures::{availability_limits, lower_bound_comparison, point, series, SeriesPoint};

@@ -66,7 +66,7 @@ fn bench_closed_form_metrics(c: &mut Criterion) {
         });
     });
     group.bench_function("figure4_series_n260", |b| {
-        b.iter(|| black_box(figures::figure4(260, 0.7)));
+        b.iter(|| black_box(figures::series(260, 0.7)));
     });
     group.finish();
 }

@@ -12,7 +12,7 @@
 //! Usage: `ablations [--n <n>]` (default 100).
 
 use arbitree_analysis::report::{fmt_f, render_table};
-use arbitree_bench::arg_value;
+use arbitree_bench::arg_or;
 use arbitree_core::builder::{balanced, even_levels};
 use arbitree_core::{ArbitraryProtocol, ArbitraryTree, TreeMetrics};
 use arbitree_quorum::{
@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let n = arg_value(&args, "--n").unwrap_or(100.0) as usize;
+    let n: usize = arg_or(&args, "--n", 100);
 
     strategy_ablation();
     shape_ablation(n);

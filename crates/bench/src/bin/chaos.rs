@@ -16,7 +16,7 @@
 //! 1200 ms for CI).
 
 use arbitree_analysis::report::{fmt_f, render_table};
-use arbitree_bench::arg_value;
+use arbitree_bench::arg_or;
 use arbitree_core::ArbitraryProtocol;
 use arbitree_quorum::{steady_state_uptime, ReplicaControl};
 use arbitree_sim::{
@@ -32,9 +32,8 @@ const MTTR: SimDuration = SimDuration::from_millis(60);
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let seeds = arg_value(&args, "--seeds").unwrap_or(if smoke { 2.0 } else { 3.0 }) as u64;
-    let duration_ms =
-        arg_value(&args, "--duration").unwrap_or(if smoke { 1200.0 } else { 3200.0 }) as u64;
+    let seeds: u64 = arg_or(&args, "--seeds", if smoke { 2 } else { 3 });
+    let duration_ms: u64 = arg_or(&args, "--duration", if smoke { 1200 } else { 3200 });
     let spec = args
         .iter()
         .position(|a| a == "--tree")

@@ -29,7 +29,7 @@
 //! than the full-transfer baseline.
 
 use arbitree_analysis::report::{fmt_f, render_table};
-use arbitree_bench::arg_value;
+use arbitree_bench::arg_or;
 use arbitree_bench::report::{BenchReport, BenchRow};
 use arbitree_sync::{item_hash, respond, HTree, Response, Session};
 
@@ -60,7 +60,7 @@ impl Outcome {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let n = arg_value(&args, "--keys").unwrap_or(if smoke { 65_536.0 } else { 1_048_576.0 }) as u64;
+    let n: u64 = arg_or(&args, "--keys", if smoke { 65_536 } else { 1_048_576 });
     let out_path = args
         .iter()
         .position(|a| a == "--out")

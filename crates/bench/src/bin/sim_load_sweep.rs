@@ -6,14 +6,14 @@
 //! Usage: `sim_load_sweep [--seed <s>]`.
 
 use arbitree_analysis::report::{fmt_f, render_table};
-use arbitree_bench::arg_value;
+use arbitree_bench::arg_or;
 use arbitree_core::builder::balanced;
 use arbitree_core::{ArbitraryProtocol, ArbitraryTree, TreeMetrics};
 use arbitree_sim::{run_cells, ExperimentCell, SimConfig, SimDuration};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed = arg_value(&args, "--seed").unwrap_or(1.0) as u64;
+    let seed: u64 = arg_or(&args, "--seed", 1);
 
     println!("Dynamic-simulation sweep over Algorithm-1 trees (failure-free, seed {seed})\n");
     let sizes = [9usize, 16, 25, 36, 49, 66, 81, 100];

@@ -8,7 +8,7 @@
 
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_analysis::Configuration;
-use arbitree_bench::arg_value;
+use arbitree_bench::arg_or;
 use arbitree_core::ArbitraryProtocol;
 use arbitree_sim::{
     empirical_availability, empirical_cost, empirical_load, parallel_map, run_cells,
@@ -17,9 +17,9 @@ use arbitree_sim::{
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let n = arg_value(&args, "--n").unwrap_or(31.0) as usize;
-    let p = arg_value(&args, "--p").unwrap_or(0.75);
-    let trials = arg_value(&args, "--trials").unwrap_or(30_000.0) as u32;
+    let n: usize = arg_or(&args, "--n", 31);
+    let p: f64 = arg_or(&args, "--p", 0.75);
+    let trials: u32 = arg_or(&args, "--trials", 30_000);
 
     println!("Static validation: closed forms vs sampled quorum assembly (target n = {n}, p = {p}, {trials} trials)\n");
     // Each §4 configuration is one independent cell; fan the sampling out

@@ -30,7 +30,7 @@
 //! unbatched ops-per-message in the full sweep).
 
 use arbitree_analysis::report::{fmt_f, render_table};
-use arbitree_bench::arg_value;
+use arbitree_bench::arg_or;
 use arbitree_bench::report::{json_str, BenchReport, BenchRow};
 use arbitree_core::ArbitraryProtocol;
 use arbitree_quorum::ReplicaControl;
@@ -79,11 +79,9 @@ impl Outcome {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let keys =
-        arg_value(&args, "--keys").unwrap_or(if smoke { 65_536.0 } else { 1_048_576.0 }) as usize;
-    let duration_ms =
-        arg_value(&args, "--duration").unwrap_or(if smoke { 60.0 } else { 400.0 }) as u64;
-    let clients = arg_value(&args, "--clients").unwrap_or(if smoke { 8.0 } else { 16.0 }) as usize;
+    let keys: usize = arg_or(&args, "--keys", if smoke { 65_536 } else { 1_048_576 });
+    let duration_ms: u64 = arg_or(&args, "--duration", if smoke { 60 } else { 400 });
+    let clients: usize = arg_or(&args, "--clients", if smoke { 8 } else { 16 });
     let out_path = args
         .iter()
         .position(|a| a == "--out")

@@ -1,31 +1,55 @@
 //! # arbitree-bench
 //!
 //! The benchmark harness regenerating every table and figure of the paper's
-//! evaluation. Each artifact has a dedicated binary:
+//! evaluation. `paper_report` prints the paper's artifacts, one subcommand
+//! each, and with no subcommand checks every claim:
 //!
-//! | binary | regenerates |
+//! | command | regenerates |
 //! |---|---|
-//! | `table1` | Table 1 — node bookkeeping of the Figure 1 tree |
-//! | `example_3_4` | §3.4 — the running example's metrics |
-//! | `fig2` | Figure 2 — communication costs of the six configurations |
-//! | `fig3` | Figure 3 — (expected) read loads |
-//! | `fig4` | Figure 4 — (expected) write loads + the §3.3 lower-bound table |
-//! | `availability` | §3.3 — asymptotic availability limits |
+//! | `paper_report` | PASS/FAIL certificate over every evaluation claim |
+//! | `paper_report table1` | Table 1 — node bookkeeping of the Figure 1 tree |
+//! | `paper_report example` | §3.4 — the running example's metrics |
+//! | `paper_report fig2` | Figure 2 — communication costs of the six configurations |
+//! | `paper_report fig3` | Figure 3 — (expected) read loads |
+//! | `paper_report fig4` | Figure 4 — (expected) write loads + the §3.3 lower-bound table |
+//! | `paper_report availability` | §3.3 — asymptotic availability limits |
 //! | `sim_validate` | simulator-measured availability/load/cost vs closed forms |
 //!
-//! Run any of them with `cargo run -p arbitree-bench --bin <name> --release`.
+//! Run any of them with `cargo run -p arbitree-bench --release --bin <name>
+//! [-- <subcommand> <flags>]`.
 //!
 //! Criterion microbenchmarks live in `benches/`: quorum enumeration and
 //! picking, LP-solver scaling, simulator throughput, and the ablations
 //! DESIGN.md calls out.
 
-/// Shared command-line helper: parse `--n <max_n>` and `--p <prob>` style
-/// arguments with defaults, ignoring anything else.
-pub fn arg_value(args: &[String], key: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// Shared command-line helper: the value after `key` (as in `--n 200`),
+/// parsed as `T`. `Ok(None)` when `key` is absent; an error when `key` is
+/// the last argument or its value does not parse as `T`, so `--n abc` or
+/// an unsigned `--trials -1` is rejected instead of falling back to a
+/// default.
+pub fn arg_value<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == key) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{key} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{key}: invalid value {value:?}"))
+}
+
+/// [`arg_value`] with a default, for a bench binary's `main`: a missing or
+/// malformed value prints the error and exits with status 2.
+pub fn arg_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
+    match arg_value(args, key) {
+        Ok(value) => value.unwrap_or(default),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        }
+    }
 }
 
 /// The shared machine-readable report format every `BENCH_*.json`
@@ -203,176 +227,6 @@ pub mod report {
     }
 }
 
-/// Shared driver for the event-queue microbench tier: the same synthetic
-/// hold-model workload runs against the production calendar queue and
-/// (behind `--features reference-queue`) the pre-calendar `BTreeQueue`
-/// oracle, so the `events` bin and the criterion bench measure identical
-/// work on both sides of the swap.
-pub mod events_driver {
-    use arbitree_sim::{
-        ClientId, Endpoint, Event, EventQueue, Message, ObjectId, OpId, Payload, SimTime,
-    };
-
-    /// The queue API surface the driver needs — identical on
-    /// [`EventQueue`] and the reference `BTreeQueue`, so the driver is
-    /// generic over which engine it exercises.
-    pub trait DriveQueue: Default {
-        /// Schedules `event` at `at`.
-        fn schedule(&mut self, at: SimTime, event: Event);
-        /// The earliest pending key (what the seeded scheduler selects).
-        fn next_key(&self) -> Option<arbitree_sim::EventKey>;
-        /// Removes the pending event with `key`.
-        fn take(&mut self, key: arbitree_sim::EventKey) -> Option<(SimTime, Event)>;
-        /// Pending-event count.
-        fn len(&self) -> usize;
-        /// Whether the queue is empty.
-        fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl DriveQueue for EventQueue {
-        fn schedule(&mut self, at: SimTime, event: Event) {
-            EventQueue::schedule(self, at, event);
-        }
-        fn next_key(&self) -> Option<arbitree_sim::EventKey> {
-            EventQueue::next_key(self)
-        }
-        fn take(&mut self, key: arbitree_sim::EventKey) -> Option<(SimTime, Event)> {
-            EventQueue::take(self, key)
-        }
-        fn len(&self) -> usize {
-            EventQueue::len(self)
-        }
-    }
-
-    #[cfg(feature = "reference-queue")]
-    impl DriveQueue for arbitree_sim::BTreeQueue {
-        fn schedule(&mut self, at: SimTime, event: Event) {
-            arbitree_sim::BTreeQueue::schedule(self, at, event);
-        }
-        fn next_key(&self) -> Option<arbitree_sim::EventKey> {
-            arbitree_sim::BTreeQueue::next_key(self)
-        }
-        fn take(&mut self, key: arbitree_sim::EventKey) -> Option<(SimTime, Event)> {
-            arbitree_sim::BTreeQueue::take(self, key)
-        }
-        fn len(&self) -> usize {
-            arbitree_sim::BTreeQueue::len(self)
-        }
-    }
-
-    /// Deterministic splitmix64 stream — the driver's only randomness, so
-    /// both queues see the exact same schedule sequence.
-    pub struct Rng(u64);
-
-    impl Rng {
-        /// A stream seeded for one cell.
-        pub fn new(seed: u64) -> Self {
-            Rng(seed)
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        /// A value in `0..bound` (multiply-shift reduction: the driver sits
-        /// inside the timed loop, and a hardware divide per call would be a
-        /// bigger cost than the queue operation being measured).
-        pub fn below(&mut self, bound: u64) -> u64 {
-            ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-        }
-    }
-
-    /// The event mix scheduled by the driver: light timer ticks
-    /// (read-dominated schedules are mostly client wakeups and quorum
-    /// probes) vs. delivered write-path messages carrying full payloads.
-    /// `tag` varies the field contents; whether this event is a write is
-    /// the caller's Bresenham accumulator's call, not a coin flip, so the
-    /// mix fraction is exact and the branch is a learnable pattern — the
-    /// cell measures the queue, not the branch predictor.
-    fn make_event(tag: u64, is_write: bool) -> Event {
-        if is_write {
-            Event::Deliver(Message {
-                from: Endpoint::Client(ClientId(tag as u32)),
-                to: Endpoint::Site(arbitree_quorum::SiteId::new((tag % 7) as u32)),
-                payload: Payload::ReadReq {
-                    op: OpId(tag),
-                    obj: ObjectId(tag as u32),
-                },
-                sent_at: SimTime::ZERO,
-            })
-        } else {
-            Event::ClientTick(ClientId(tag as u32))
-        }
-    }
-
-    /// Runs the hold model: prefill `pending` events, then `steps` times
-    /// fire the earliest event and schedule a replacement at `now + delay`
-    /// with delays drawn from `0..horizon_micros`. The pending-set size
-    /// stays constant — the classic priority-queue benchmark — and each
-    /// step counts as one event processed. Firing mirrors the engine's
-    /// seeded loop exactly: `next_key()` (the scheduler's select) followed
-    /// by `take(key)` (the step), not a fused pop. The write mix is a
-    /// Bresenham interleave (exactly `write_permille` writes per 1000
-    /// events, evenly spread), and each step draws one RNG word that
-    /// seeds both the delay and the event's field tag. Returns the events
-    /// processed (== `steps`) and a checksum of fire order so the compiler
-    /// cannot elide the work (and so both queues can be asserted to
-    /// agree).
-    pub fn hold_model<Q: DriveQueue>(
-        seed: u64,
-        pending: usize,
-        steps: u64,
-        horizon_micros: u64,
-        write_permille: u64,
-    ) -> (u64, u64) {
-        let mut rng = Rng::new(seed);
-        let mut q = Q::default();
-        let mut acc = 0u64;
-        let next_is_write = |acc: &mut u64| {
-            *acc += write_permille;
-            let w = *acc >= 1_000;
-            if w {
-                *acc -= 1_000;
-            }
-            w
-        };
-        for _ in 0..pending {
-            let r = rng.next_u64();
-            let at = SimTime::from_micros(mul_shift(r, horizon_micros));
-            q.schedule(at, make_event(r & 0x3FF, next_is_write(&mut acc)));
-        }
-        let mut checksum = 0u64;
-        for _ in 0..steps {
-            let key = q.next_key().expect("hold model never drains");
-            let (at, ev) = q.take(key).expect("selected key is pending");
-            checksum = checksum
-                .rotate_left(7)
-                .wrapping_add(at.as_micros())
-                .wrapping_add(match ev {
-                    Event::ClientTick(c) => u64::from(c.0),
-                    _ => 1_000_000,
-                });
-            let r = rng.next_u64();
-            let next =
-                at + arbitree_sim::SimDuration::from_micros(mul_shift(r, horizon_micros).max(1));
-            q.schedule(next, make_event(r & 0x3FF, next_is_write(&mut acc)));
-        }
-        (steps, checksum)
-    }
-
-    /// `(x * bound) >> 64`: maps a full-range word into `0..bound` without
-    /// a divide.
-    fn mul_shift(x: u64, bound: u64) -> u64 {
-        ((u128::from(x) * u128::from(bound)) >> 64) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,12 +237,21 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(arg_value(&args, "--n"), Some(200.0));
-        assert_eq!(arg_value(&args, "--p"), Some(0.8));
-        assert_eq!(arg_value(&args, "--x"), None);
-        // Malformed value → None.
-        let bad: Vec<String> = ["prog", "--n"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(arg_value(&bad, "--n"), None);
+        assert_eq!(arg_value(&args, "--n"), Ok(Some(200usize)));
+        assert_eq!(arg_value(&args, "--p"), Ok(Some(0.8)));
+        assert_eq!(arg_value::<f64>(&args, "--x"), Ok(None));
+        // A missing or malformed value is an error, not a silent default.
+        let bad = |argv: &[&str]| -> Vec<String> { argv.iter().map(|s| s.to_string()).collect() };
+        assert_eq!(
+            arg_value::<usize>(&bad(&["prog", "--n"]), "--n"),
+            Err("--n needs a value".to_string())
+        );
+        assert_eq!(
+            arg_value::<usize>(&bad(&["prog", "--n", "abc"]), "--n"),
+            Err("--n: invalid value \"abc\"".to_string())
+        );
+        assert!(arg_value::<u32>(&bad(&["prog", "--trials", "-1"]), "--trials").is_err());
+        assert!(arg_value::<usize>(&bad(&["prog", "--n", "--csv"]), "--n").is_err());
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! None of this is visible through the API: keys are handed out and honored
 //! in exact `(at, seq)` order, `keys`/`iter` enumerate in that global
 //! order, and a taken key stays gone. `crates/sim/tests/replay.rs` pins the
-//! equivalence against the reference [`BTreeQueue`] over randomized
-//! schedule/take interleavings.
+//! equivalence against the `BTreeMap` queue this one replaced over
+//! randomized schedule/take interleavings.
 
 use crate::config::NetworkConfig;
 use crate::message::{ClientId, Message, OpId};
@@ -39,8 +39,6 @@ use crate::network::Partition;
 use crate::time::SimTime;
 use arbitree_quorum::SiteId;
 use std::cell::Cell;
-#[cfg(any(test, feature = "reference-queue"))]
-use std::collections::BTreeMap;
 
 /// Events driving the simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,10 +137,11 @@ type Entry = (EventKey, u32);
 
 /// Deterministic future-event queue.
 ///
-/// Calendar-bucketed by firing day with a sorted overflow tier; event
+/// Calendar-bucketed by firing day with an unsorted overflow tier; event
 /// values live in a free-list slab (see the module docs). The observable
-/// contract is exactly the reference [`BTreeQueue`]'s: earliest-first order
-/// for the seeded path and arbitrary-key removal for the model checker.
+/// contract is exactly a `BTreeMap<EventKey, Event>`'s: earliest-first
+/// order for the seeded path and arbitrary-key removal for the model
+/// checker.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Event storage; `None` slots are free and their indices sit in
@@ -632,84 +631,6 @@ impl EventQueue {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-}
-
-/// The reference queue: the original `BTreeMap`-backed implementation the
-/// calendar queue replaced. Kept as the ordering oracle for the
-/// equivalence proptest in `crates/sim/tests/replay.rs` and for the
-/// `events` bench's pre-swap baseline (via the `reference-queue` feature).
-#[cfg(any(test, feature = "reference-queue"))]
-#[derive(Debug, Default)]
-pub struct BTreeQueue {
-    pending: BTreeMap<EventKey, Event>,
-    next_seq: u64,
-}
-
-#[cfg(any(test, feature = "reference-queue"))]
-impl BTreeQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BTreeQueue::default()
-    }
-
-    /// Schedules `event` to fire at `at`.
-    #[inline]
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(EventKey { at, seq }, event);
-    }
-
-    /// Pops the earliest event, if any.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.pending.pop_first().map(|(k, e)| (k.at, e))
-    }
-
-    /// Removes and returns the pending event with `key`, if present.
-    #[inline]
-    pub fn take(&mut self, key: EventKey) -> Option<(SimTime, Event)> {
-        self.pending.remove(&key).map(|e| (key.at, e))
-    }
-
-    /// The earliest pending key.
-    #[inline]
-    pub fn next_key(&self) -> Option<EventKey> {
-        self.pending.keys().next().copied()
-    }
-
-    /// All pending keys in `(at, seq)` order.
-    pub fn keys(&self) -> impl Iterator<Item = EventKey> + '_ {
-        self.pending.keys().copied()
-    }
-
-    /// All pending events in `(at, seq)` order.
-    pub fn iter(&self) -> impl Iterator<Item = (EventKey, &Event)> + '_ {
-        self.pending.iter().map(|(k, e)| (*k, e))
-    }
-
-    /// The pending event with `key`, if present.
-    pub fn get(&self, key: EventKey) -> Option<&Event> {
-        self.pending.get(&key)
-    }
-
-    /// Time of the next event without removing it.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.pending.keys().next().map(|k| k.at)
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 }
 

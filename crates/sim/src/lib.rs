@@ -91,8 +91,6 @@ pub use checker::{ConsistencyChecker, Violation};
 pub use config::{NetworkConfig, RetryPolicy, SimConfig};
 pub use coordinator::Coordinator;
 pub use engine::Engine;
-#[cfg(any(test, feature = "reference-queue"))]
-pub use event::BTreeQueue;
 pub use event::{Event, EventKey, EventQueue};
 pub use failure::FailureSchedule;
 pub use fault::FaultInjection;

@@ -5,8 +5,10 @@ use arbitree_core::DetMap;
 use std::fmt;
 
 /// A log-scale latency histogram: buckets grow by powers of two from 1 µs,
-/// giving ~5% worst-case relative error on percentile queries at tiny,
-/// fixed memory cost.
+/// at a tiny, fixed memory cost. A percentile query returns the upper
+/// bound of the bucket holding the requested rank, so a reported
+/// percentile can be up to 2× the true value (a sample of exactly `2^i` µs
+/// reports as `2^(i+1)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// `buckets[i]` counts samples with `2^i ≤ latency_µs < 2^(i+1)`

@@ -147,7 +147,37 @@ mod scheduler_seam {
 /// window rotation, slab recycling).
 mod queue_equivalence {
     use super::*;
-    use arbitree_sim::{BTreeQueue, ClientId, Event, EventQueue, SimTime};
+    use arbitree_sim::{ClientId, Event, EventKey, EventQueue, SimTime};
+    use std::collections::BTreeMap;
+
+    /// The original `BTreeMap`-backed queue the calendar queue replaced,
+    /// kept here as the ordering oracle: keys are `(at, seq)` with `seq`
+    /// the insertion count, so map order is exactly the contract.
+    #[derive(Default)]
+    struct BTreeQueue {
+        pending: BTreeMap<EventKey, Event>,
+        next_seq: u64,
+    }
+
+    impl BTreeQueue {
+        fn schedule(&mut self, at: SimTime, event: Event) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.pending.insert(EventKey { at, seq }, event);
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            self.pending.pop_first().map(|(k, e)| (k.at, e))
+        }
+
+        fn take(&mut self, key: EventKey) -> Option<(SimTime, Event)> {
+            self.pending.remove(&key).map(|e| (key.at, e))
+        }
+
+        fn next_key(&self) -> Option<EventKey> {
+            self.pending.keys().next().copied()
+        }
+    }
 
     /// One step of the randomized driver.
     #[derive(Debug, Clone)]
@@ -202,7 +232,7 @@ mod queue_equivalence {
             ops in proptest::collection::vec(op_strategy(), 1..250),
         ) {
             let mut cal = EventQueue::new();
-            let mut btree = BTreeQueue::new();
+            let mut btree = BTreeQueue::default();
             for op in &ops {
                 match *op {
                     Op::Schedule(t, tag) => {
@@ -214,7 +244,7 @@ mod queue_equivalence {
                         prop_assert_eq!(cal.pop(), btree.pop());
                     }
                     Op::Take(i) => {
-                        let keys: Vec<_> = btree.keys().collect();
+                        let keys: Vec<_> = btree.pending.keys().copied().collect();
                         if keys.is_empty() {
                             continue;
                         }
@@ -226,18 +256,18 @@ mod queue_equivalence {
                     }
                 }
                 // Full observational equality after every step.
-                prop_assert_eq!(cal.len(), btree.len());
-                prop_assert_eq!(cal.is_empty(), btree.is_empty());
+                prop_assert_eq!(cal.len(), btree.pending.len());
+                prop_assert_eq!(cal.is_empty(), btree.pending.is_empty());
                 prop_assert_eq!(cal.next_key(), btree.next_key());
-                prop_assert_eq!(cal.peek_time(), btree.peek_time());
+                prop_assert_eq!(cal.peek_time(), btree.next_key().map(|k| k.at));
                 let ck: Vec<_> = cal.keys().collect();
-                let bk: Vec<_> = btree.keys().collect();
+                let bk: Vec<_> = btree.pending.keys().copied().collect();
                 prop_assert_eq!(&ck, &bk, "keys() enumeration diverged");
                 for k in &ck {
-                    prop_assert_eq!(cal.get(*k), btree.get(*k));
+                    prop_assert_eq!(cal.get(*k), btree.pending.get(k));
                 }
                 let ci: Vec<_> = cal.iter().collect();
-                let bi: Vec<_> = btree.iter().collect();
+                let bi: Vec<_> = btree.pending.iter().map(|(k, e)| (*k, e)).collect();
                 prop_assert_eq!(ci, bi, "iter() enumeration diverged");
             }
             drain_and_compare(&mut cal, &mut btree);
